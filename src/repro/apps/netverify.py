@@ -21,6 +21,7 @@ Two tasks from the paper's "other possibilities" list:
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -169,6 +170,96 @@ class RouteVerificationResult:
     probes_sent: int
 
 
+def _leaf_of(host: str) -> str:
+    """The leaf switch a ``h<leaf>_<index>`` host hangs off."""
+    return f"leaf{host.split('_')[0][1:]}"
+
+
+def _wire_probes(experiment, *, src: str, dst: str, failure_time: float,
+                 reroute_delay_s: float, probe_interval_s: float) -> None:
+    """Setup hook: probe ``src -> dst`` periodically, fail the active spine
+    uplink at ``failure_time`` and reroute ``reroute_delay_s`` later."""
+    sim, network = experiment.sim, experiment.network
+    src_leaf, dst_leaf = _leaf_of(src), _leaf_of(dst)
+    stack = experiment.stacks[src]
+    observations: list[PathObservation] = []
+    template = compile_tpp(PATH_TPP_SOURCE, num_hops=8,
+                           app_id=stack.executor_app_id).tpp
+    probes = {"sent": 0}
+
+    def _probe() -> None:
+        sent_at = sim.now
+        probes["sent"] += 1
+        stack.executor.execute(
+            template.clone(), dst,
+            lambda tpp: observations.append(observation_from_tpp(tpp, sent_at))
+            if tpp is not None else None,
+            retries=0, timeout_s=probe_interval_s * 4)
+
+    process = sim.schedule_periodic(probe_interval_s, _probe)
+    experiment.on_stop(process.stop)
+
+    def fail_and_reroute() -> None:
+        spine_ids = {name: network.switches[name].switch_id
+                     for name in ("spine0", "spine1")}
+        current_path = observations[-1].switch_ids if observations else []
+        active = next((name for name, sid in spine_ids.items()
+                       if sid in current_path), "spine0")
+        backup = "spine1" if active == "spine0" else "spine0"
+        experiment.extras["failed_spine"] = active
+        experiment.extras["backup_spine"] = backup
+        network.link_between(src_leaf, active).set_down()
+
+        def reroute() -> None:
+            network.switches[src_leaf].install_route(
+                dst, network.ports_towards(src_leaf, backup)[0], priority=100)
+            network.switches[dst_leaf].install_route(
+                src, network.ports_towards(dst_leaf, backup)[0], priority=100)
+
+        sim.schedule(reroute_delay_s, reroute)
+
+    sim.schedule_at(failure_time, fail_and_reroute)
+    experiment.extras["observations"] = observations
+    experiment.extras["probes"] = probes
+
+
+def _to_result(result, *, src: str, dst: str,
+               failure_time: float) -> RouteVerificationResult:
+    """Result mapper: fold the recorded probe paths into the verdicts."""
+    network = result.network
+    src_leaf, dst_leaf = _leaf_of(src), _leaf_of(dst)
+    observations: list[PathObservation] = result.extras["observations"]
+    verifier = RouteVerifier(network)
+    pre = [o for o in observations if o.time < failure_time]
+    observed_old = pre[0].switch_ids if pre else []
+    # ECMP may route via either spine; the control plane's intent is the
+    # *set* of shortest paths, so verify against the member in use.
+    candidates = [[network.switches[src_leaf].switch_id,
+                   network.switches[spine].switch_id,
+                   network.switches[dst_leaf].switch_id]
+                  for spine in ("spine0", "spine1")]
+    expected_old = next((path for path in candidates if path == observed_old),
+                        candidates[0])
+    pre_check = verifier.verify(expected_old, observed_old)
+    backup = result.extras.get("backup_spine", "spine1")
+    expected_new = [network.switches[src_leaf].switch_id,
+                    network.switches[backup].switch_id,
+                    network.switches[dst_leaf].switch_id]
+    converged_time = None
+    for observation in observations:
+        if observation.time >= failure_time and \
+                observation.switch_ids == expected_new:
+            converged_time = observation.time
+            break
+    convergence = ConvergenceResult(failure_time=failure_time,
+                                    converged_time=converged_time,
+                                    observations=observations)
+    return RouteVerificationResult(pre_failure=pre_check,
+                                   convergence=convergence,
+                                   observations=observations,
+                                   probes_sent=result.extras["probes"]["sent"])
+
+
 def verification_scenario(src: str = "h0_0", dst: str = "h1_1",
                           failure_time: float = 0.2, reroute_delay_s: float = 0.03,
                           probe_interval_s: float = 2e-3,
@@ -187,91 +278,15 @@ def verification_scenario(src: str = "h0_0", dst: str = "h1_1",
 
     if link_rate_bps is None:
         link_rate_bps = mbps(10)
-
-    src_leaf = f"leaf{src.split('_')[0][1:]}"
-    dst_leaf = f"leaf{dst.split('_')[0][1:]}"
-
-    def wire_probes(experiment) -> None:
-        sim, network = experiment.sim, experiment.network
-        stack = experiment.stacks[src]
-        observations: list[PathObservation] = []
-        template = compile_tpp(PATH_TPP_SOURCE, num_hops=8,
-                               app_id=stack.executor_app_id).tpp
-        probes = {"sent": 0}
-
-        def _probe() -> None:
-            sent_at = sim.now
-            probes["sent"] += 1
-            stack.executor.execute(
-                template.clone(), dst,
-                lambda tpp: observations.append(observation_from_tpp(tpp, sent_at))
-                if tpp is not None else None,
-                retries=0, timeout_s=probe_interval_s * 4)
-
-        process = sim.schedule_periodic(probe_interval_s, _probe)
-        experiment.on_stop(process.stop)
-
-        def fail_and_reroute() -> None:
-            spine_ids = {name: network.switches[name].switch_id
-                         for name in ("spine0", "spine1")}
-            current_path = observations[-1].switch_ids if observations else []
-            active = next((name for name, sid in spine_ids.items()
-                           if sid in current_path), "spine0")
-            backup = "spine1" if active == "spine0" else "spine0"
-            experiment.extras["failed_spine"] = active
-            experiment.extras["backup_spine"] = backup
-            network.link_between(src_leaf, active).set_down()
-
-            def reroute() -> None:
-                network.switches[src_leaf].install_route(
-                    dst, network.ports_towards(src_leaf, backup)[0], priority=100)
-                network.switches[dst_leaf].install_route(
-                    src, network.ports_towards(dst_leaf, backup)[0], priority=100)
-
-            sim.schedule(reroute_delay_s, reroute)
-
-        sim.schedule_at(failure_time, fail_and_reroute)
-        experiment.extras["observations"] = observations
-        experiment.extras["probes"] = probes
-
-    def to_result(result) -> RouteVerificationResult:
-        network = result.network
-        observations: list[PathObservation] = result.extras["observations"]
-        verifier = RouteVerifier(network)
-        pre = [o for o in observations if o.time < failure_time]
-        observed_old = pre[0].switch_ids if pre else []
-        # ECMP may route via either spine; the control plane's intent is the
-        # *set* of shortest paths, so verify against the member in use.
-        candidates = [[network.switches[src_leaf].switch_id,
-                       network.switches[spine].switch_id,
-                       network.switches[dst_leaf].switch_id]
-                      for spine in ("spine0", "spine1")]
-        expected_old = next((path for path in candidates if path == observed_old),
-                            candidates[0])
-        pre_check = verifier.verify(expected_old, observed_old)
-        backup = result.extras.get("backup_spine", "spine1")
-        expected_new = [network.switches[src_leaf].switch_id,
-                        network.switches[backup].switch_id,
-                        network.switches[dst_leaf].switch_id]
-        converged_time = None
-        for observation in observations:
-            if observation.time >= failure_time and \
-                    observation.switch_ids == expected_new:
-                converged_time = observation.time
-                break
-        convergence = ConvergenceResult(failure_time=failure_time,
-                                        converged_time=converged_time,
-                                        observations=observations)
-        return RouteVerificationResult(pre_failure=pre_check,
-                                       convergence=convergence,
-                                       observations=observations,
-                                       probes_sent=result.extras["probes"]["sent"])
-
     return (Scenario("leaf-spine", seed=seed, name="route-verification",
                      num_leaves=2, num_spines=2, hosts_per_leaf=2,
                      link_rate_bps=link_rate_bps)
-            .setup(wire_probes)
-            .map_result(to_result))
+            .setup(functools.partial(_wire_probes, src=src, dst=dst,
+                                     failure_time=failure_time,
+                                     reroute_delay_s=reroute_delay_s,
+                                     probe_interval_s=probe_interval_s))
+            .map_result(functools.partial(_to_result, src=src, dst=dst,
+                                          failure_time=failure_time)))
 
 
 def run_route_verification_experiment(duration_s: float = 0.5, **kwargs

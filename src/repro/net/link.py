@@ -90,64 +90,45 @@ class Link:
         """
         peer = self.other_end(from_port)
         if not self.up or not from_port.up:
-            # Send-side failure: mirrors Port.send's link-down accounting.
+            # Send-side failure: Port.send's link-down accounting.
             queue = from_port.queue
-            recorder = from_port.recorder
+            reason = f"link down at {from_port.name}"
             for packet in packets:
-                packet.dropped = True
-                packet.drop_reason = f"link down at {from_port.name}"
                 queue.packets_dropped_total += 1
                 queue.bytes_dropped_total += packet.size
-                from_port.count_drop(DROP_LINK_DOWN)
-                if recorder is not None:
-                    recorder.on_drop(from_port.name, from_port.node.name,
-                                     packet, DROP_LINK_DOWN,
-                                     packet.drop_reason)
+                from_port._drop(packet, DROP_LINK_DOWN, reason)
             return 0
         burst_bytes = 0
         for packet in packets:
             burst_bytes += packet.size
-        count = len(packets)
         self.total_bytes += burst_bytes
-        self.total_packets += count
+        self.total_packets += len(packets)
         from_port.tx_bytes += burst_bytes
-        from_port.tx_packets += count
+        from_port.tx_packets += len(packets)
         if not peer.up:
             # Receive-side failure: the burst was "serialised" (tx and link
             # counters above stand), then lost — mirrors _deliver_to_peer.
             # Like the counters, the drop record lands at the *sending*
             # port: the downed receive side never saw the packet.
-            recorder = from_port.recorder
             for packet in packets:
-                packet.dropped = True
-                packet.drop_reason = "peer port down"
-                from_port.count_drop(DROP_PEER_DOWN)
-                if recorder is not None:
-                    recorder.on_drop(from_port.name, from_port.node.name,
-                                     packet, DROP_PEER_DOWN,
-                                     packet.drop_reason)
+                from_port._drop(packet, DROP_PEER_DOWN, "peer port down")
             return 0
         if self.loss_rate:
-            recorder = peer.recorder
+            # Corruption is a failed CRC at the *receiving* port — the
+            # asymmetry the loss-localization TPP measures.
             survivors = []
             for packet in packets:
                 if self.corrupt(packet):
-                    # Corruption is a failed CRC at the *receiving* port —
-                    # the asymmetry the loss-localization TPP measures.
                     peer.error_packets += 1
-                    peer.count_drop(DROP_CORRUPTED)
-                    if recorder is not None:
-                        recorder.on_drop(peer.name, peer.node.name, packet,
-                                         DROP_CORRUPTED, packet.drop_reason)
+                    peer._drop(packet, DROP_CORRUPTED, f"corrupted on {self.name}")
                 else:
                     survivors.append(packet)
-            packets = survivors
-            count = len(packets)
-            burst_bytes = sum(packet.size for packet in packets)
-            if not packets:
+            if not survivors:
                 return 0
+            packets = survivors
+            burst_bytes = sum(packet.size for packet in packets)
         peer.rx_bytes += burst_bytes
-        peer.rx_packets += count
+        peer.rx_packets += len(packets)
         recorder = peer.recorder
         if recorder is not None:
             for packet in packets:
@@ -159,7 +140,7 @@ class Link:
             receive = peer.node.receive
             for packet in packets:
                 receive(packet, peer)
-        return count
+        return len(packets)
 
     # ---------------------------------------------------------- degradation
     def set_loss(self, loss_rate: float, rng: Optional[random.Random] = None) -> None:
@@ -189,16 +170,14 @@ class Link:
         """One Bernoulli draw for a packet reaching the far end of the wire.
 
         Callers guard on ``self.loss_rate`` being non-zero, so healthy
-        links never consume a random draw.  A corrupted packet is marked
-        dropped and counted here; the *caller* owns the receive-side port
-        accounting (error_packets, drops_by_reason) and must not count the
-        packet into the peer's rx counters — that tx/rx deficit is the
-        signal the loss-localization TPP measures.
+        links never consume a random draw.  A corrupted packet is counted
+        into the link's corruption totals here; the *caller* drops it at
+        the receiving port (``error_packets`` plus ``Port._drop``) and
+        must not count it into the peer's rx counters — that tx/rx deficit
+        is the signal the loss-localization TPP measures.
         """
         if self._loss_rng.random() >= self.loss_rate:
             return False
-        packet.dropped = True
-        packet.drop_reason = f"corrupted on {self.name}"
         self.packets_corrupted += 1
         self.bytes_corrupted += packet.size
         return True

@@ -26,6 +26,9 @@ TxHook = Callable[[Packet], bool]
 # A receive hook returns True when it fully consumed the packet.
 RxHook = Callable[[Packet, "Host"], bool]
 
+#: Flight-recorder drop category of packets a transmit hook rejected.
+DROP_TX_HOOK = "tx-hook"
+
 
 class Node:
     """Anything with ports that can receive packets."""
@@ -89,13 +92,27 @@ class Host(Node):
         self._listeners[dport] = callback
 
     # --------------------------------------------------------------- traffic
-    def send(self, packet: Packet) -> bool:
-        """Send a packet out of the host's uplink, running transmit hooks."""
+    def _drop(self, packet: Packet, reason: str) -> None:
+        """Drop an outgoing packet at the host: the one host drop path.
+
+        Host drops have no port, so they count in no ``drops_by_reason``;
+        the recorder files them under :data:`DROP_TX_HOOK` at the host.
+        """
+        packet.dropped = True
+        packet.drop_reason = reason
+        if self.recorder is not None:
+            self.recorder.on_drop(self.name, self.name, packet,
+                                  DROP_TX_HOOK, reason)
+
+    def _admit(self, packet: Packet) -> bool:
+        """Run the transmit hooks on one outgoing packet and account it.
+
+        Returns False when a hook rejected (and so dropped) the packet.
+        """
         packet.created_at = packet.created_at or self.sim.now
         for hook in self.tx_hooks:
             if not hook(packet):
-                packet.dropped = True
-                packet.drop_reason = f"tx hook rejected at {self.name}"
+                self._drop(packet, f"tx hook rejected at {self.name}")
                 return False
         self.packets_sent += 1
         self.bytes_sent += packet.size
@@ -104,36 +121,21 @@ class Host(Node):
             # After the tx hooks: the recorder sees the packet as it enters
             # the wire path, TPP attached.
             self.recorder.on_host_send(self, packet)
-        return self.uplink_port.send(packet)
+        return True
+
+    def send(self, packet: Packet) -> bool:
+        """Send a packet out of the host's uplink, running transmit hooks."""
+        return self._admit(packet) and self.uplink_port.send(packet)
 
     def send_many(self, packets: list[Packet]) -> int:
         """Send a burst of packets in one call (the batched injection path).
 
         Transmit hooks still run per packet and in order (the dataplane shim
-        relies on seeing every packet), but the uplink's link-state checks
-        and transmitter kick happen once for the whole burst.  Returns how
-        many packets were accepted onto the uplink queue.
+        relies on seeing every packet), all before one pass over the
+        uplink's :meth:`Port.send_many`.  Returns how many packets were
+        accepted onto the uplink queue.
         """
-        now = self.sim.now
-        name = self.name
-        accepted: list[Packet] = []
-        for packet in packets:
-            packet.created_at = packet.created_at or now
-            ok = True
-            for hook in self.tx_hooks:
-                if not hook(packet):
-                    packet.dropped = True
-                    packet.drop_reason = f"tx hook rejected at {name}"
-                    ok = False
-                    break
-            if not ok:
-                continue
-            self.packets_sent += 1
-            self.bytes_sent += packet.size
-            packet.record_hop(name)
-            if self.recorder is not None:
-                self.recorder.on_host_send(self, packet)
-            accepted.append(packet)
+        accepted = [packet for packet in packets if self._admit(packet)]
         if not accepted:
             return 0
         return self.uplink_port.send_many(accepted)

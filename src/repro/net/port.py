@@ -22,11 +22,12 @@ if TYPE_CHECKING:  # pragma: no cover
     from .node import Node
     from .sim import Simulator
 
-#: Canonical drop-accounting categories.  Every drop site stamps the packet
-#: with a human-readable ``drop_reason`` *and* counts the drop under one of
-#: these categories in the owning port's ``drops_by_reason``, so experiment
-#: telemetry can aggregate losses by cause instead of re-parsing reason
-#: strings off individual packets.
+#: Canonical drop-accounting categories.  Every port-level drop goes
+#: through :meth:`Port._drop`, which stamps the packet with a human-readable
+#: ``drop_reason`` *and* counts the drop under one of these categories in
+#: the owning port's ``drops_by_reason``, so experiment telemetry can
+#: aggregate losses by cause instead of re-parsing reason strings off
+#: individual packets.
 DROP_LINK_DOWN = "link-down"
 DROP_QUEUE_OVERFLOW = "queue-overflow"
 DROP_PEER_DOWN = "peer-down"
@@ -145,9 +146,20 @@ class Port:
         self.link = link
         self.peer = peer
 
-    def count_drop(self, category: str) -> None:
-        """Count one drop at this port under a canonical category."""
+    def _drop(self, packet: Packet, category: str, reason: str) -> None:
+        """Drop ``packet`` at this port: the one place a port-level drop is
+        stamped, counted under its canonical category, and recorded.
+
+        Side effects tied to one category (queue drop totals on link-down,
+        ``error_packets`` on corruption, ``node.on_packet_dropped`` on
+        queue overflow) stay at the drop site that owns them.
+        """
+        packet.dropped = True
+        packet.drop_reason = reason
         self.drops_by_reason[category] = self.drops_by_reason.get(category, 0) + 1
+        if self.recorder is not None:
+            self.recorder.on_drop(self._name, self.node.name, packet,
+                                  category, reason)
 
     # ------------------------------------------------------------ transmit path
     def send(self, packet: Packet) -> bool:
@@ -159,23 +171,13 @@ class Port:
         if self.link is None or self.peer is None:
             raise RuntimeError(f"port {self.name} is not connected")
         if not self.up or not self.link.up:
-            packet.dropped = True
-            packet.drop_reason = f"link down at {self.name}"
             self.queue.packets_dropped_total += 1
             self.queue.bytes_dropped_total += packet.size
-            self.count_drop(DROP_LINK_DOWN)
-            if self.recorder is not None:
-                self.recorder.on_drop(self._name, self.node.name, packet,
-                                      DROP_LINK_DOWN, packet.drop_reason)
+            self._drop(packet, DROP_LINK_DOWN, f"link down at {self._name}")
             return False
-        accepted = self.queue.enqueue(packet)
-        if not accepted:
-            packet.dropped = True
-            packet.drop_reason = f"queue overflow at {self.name}"
-            self.count_drop(DROP_QUEUE_OVERFLOW)
-            if self.recorder is not None:
-                self.recorder.on_drop(self._name, self.node.name, packet,
-                                      DROP_QUEUE_OVERFLOW, packet.drop_reason)
+        if not self.queue.enqueue(packet):
+            self._drop(packet, DROP_QUEUE_OVERFLOW,
+                       f"queue overflow at {self._name}")
             self.node.on_packet_dropped(packet, self)
             return False
         packet.enqueue_times.append(self.sim.now)
@@ -186,51 +188,14 @@ class Port:
         return True
 
     def send_many(self, packets: list[Packet]) -> int:
-        """Enqueue a burst of packets for transmission in one call.
+        """Enqueue a burst of packets: exactly a loop of :meth:`send`.
 
-        The link-state checks run once for the whole burst, but enqueueing
-        interleaves with transmitter kicks exactly like a loop of
-        :meth:`send` calls — in particular, an idle transmitter dequeues the
-        burst's head *before* later packets hit the queue-capacity check, so
-        drop behaviour at a near-full queue is identical.  Returns how many
-        packets were accepted (the rest were dropped, with per-packet drop
-        accounting).
+        Each packet is admitted (or dropped, with per-packet accounting)
+        before the next, so an idle transmitter dequeues the burst's head
+        *before* later packets hit the queue-capacity check.  Returns how
+        many packets were accepted.
         """
-        if self.link is None or self.peer is None:
-            raise RuntimeError(f"port {self.name} is not connected")
-        recorder = self.recorder
-        if not self.up or not self.link.up:
-            queue = self.queue
-            for packet in packets:
-                packet.dropped = True
-                packet.drop_reason = f"link down at {self.name}"
-                queue.packets_dropped_total += 1
-                queue.bytes_dropped_total += packet.size
-                self.count_drop(DROP_LINK_DOWN)
-                if recorder is not None:
-                    recorder.on_drop(self._name, self.node.name, packet,
-                                     DROP_LINK_DOWN, packet.drop_reason)
-            return 0
-        queue = self.queue
-        now = self.sim.now
-        accepted = 0
-        for packet in packets:
-            if queue.enqueue(packet):
-                packet.enqueue_times.append(now)
-                accepted += 1
-                if recorder is not None:
-                    recorder.on_enqueue(self, packet)
-                if not self.transmitting:
-                    self._start_transmission()
-            else:
-                packet.dropped = True
-                packet.drop_reason = f"queue overflow at {self.name}"
-                self.count_drop(DROP_QUEUE_OVERFLOW)
-                if recorder is not None:
-                    recorder.on_drop(self._name, self.node.name, packet,
-                                     DROP_QUEUE_OVERFLOW, packet.drop_reason)
-                self.node.on_packet_dropped(packet, self)
-        return accepted
+        return sum(map(self.send, packets))
 
     def _start_transmission(self) -> None:
         packet = self.queue.dequeue()
@@ -270,14 +235,9 @@ class Port:
     def _deliver_to_peer(self, packet: Packet) -> None:
         peer = self.peer
         if peer is None or not peer.up:
-            packet.dropped = True
-            packet.drop_reason = "peer port down"
-            self.count_drop(DROP_PEER_DOWN)
-            if self.recorder is not None:
-                # Counted at the *sending* port — the receive side never saw
-                # the packet (see deliver_burst's asymmetry note).
-                self.recorder.on_drop(self._name, self.node.name, packet,
-                                      DROP_PEER_DOWN, packet.drop_reason)
+            # Counted at the *sending* port — the receive side never saw
+            # the packet (see deliver_burst's asymmetry note).
+            self._drop(packet, DROP_PEER_DOWN, "peer port down")
             return
         link = self.link
         if link.loss_rate and link.corrupt(packet):
@@ -286,10 +246,7 @@ class Port:
             # counted into the peer's rx counters.  That tx/rx deficit is
             # exactly what the loss-localization TPP diffs across hops.
             peer.error_packets += 1
-            peer.count_drop(DROP_CORRUPTED)
-            if peer.recorder is not None:
-                peer.recorder.on_drop(peer._name, peer.node.name, packet,
-                                      DROP_CORRUPTED, packet.drop_reason)
+            peer._drop(packet, DROP_CORRUPTED, f"corrupted on {link.name}")
             return
         peer.rx_bytes += packet.size
         peer.rx_packets += 1

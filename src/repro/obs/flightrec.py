@@ -73,7 +73,8 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.switches.switch import TPPSwitch
 
 __all__ = [
-    "DropExplanation", "FlightRecorder", "JourneyLog", "PacketJourney",
+    "DropExplanation", "FlightRecorder", "JourneyLog", "JourneyQueries",
+    "PacketJourney",
     "RecorderSpec",
     "REC_SEQ", "REC_TIME", "REC_NODE", "REC_KIND", "REC_PACKET", "REC_FLOW",
     "REC_SITE", "REC_A", "REC_B",
@@ -341,7 +342,35 @@ class JourneyLog:
                 f"{len(self._packet_index())} packets>")
 
 
-class FlightRecorder:
+class JourneyQueries:
+    """The journey query API, for any class with a ``journeys`` attribute.
+
+    ``journeys`` holds a :class:`JourneyLog`, or ``None`` when nothing was
+    recorded.  Experiment results, their picklable summaries and the live
+    recorder all answer the same three questions through this mixin.
+    """
+
+    def _journeys(self) -> JourneyLog:
+        if self.journeys is None:
+            raise TypeError(
+                f"no flight-recorder data on this {type(self).__name__}; "
+                f"build the scenario with .flight_recorder(...)")
+        return self.journeys
+
+    def journey(self, packet_id: int) -> Optional[PacketJourney]:
+        """One recorded packet's ordered hop records (or None)."""
+        return self._journeys().journey(packet_id)
+
+    def trace_flow(self, flow_id: int) -> list[PacketJourney]:
+        """Every recorded packet journey of one flow."""
+        return self._journeys().trace_flow(flow_id)
+
+    def explain_drop(self, packet_id: Optional[int] = None, **filters):
+        """Drop forensics (see :meth:`JourneyLog.explain_drop`)."""
+        return self._journeys().explain_drop(packet_id, **filters)
+
+
+class FlightRecorder(JourneyQueries):
     """The live recorder: per-node rings fed by the dataplane hook sites.
 
     Create one from a :class:`RecorderSpec`, then :meth:`attach` it to a
@@ -542,15 +571,10 @@ class FlightRecorder:
         merged.sort()                              # tuples sort by seq first
         return JourneyLog(merged, self.stats())
 
-    # Convenience: query the live rings without an explicit snapshot.
-    def journey(self, packet_id: int) -> Optional[PacketJourney]:
-        return self.log().journey(packet_id)
-
-    def trace_flow(self, flow_id: int) -> list[PacketJourney]:
-        return self.log().trace_flow(flow_id)
-
-    def explain_drop(self, packet_id: Optional[int] = None, **filters):
-        return self.log().explain_drop(packet_id, **filters)
+    @property
+    def journeys(self) -> JourneyLog:
+        """Query the live rings without an explicit snapshot."""
+        return self.log()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"<FlightRecorder {self.records_written} written "

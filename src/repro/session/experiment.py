@@ -31,6 +31,7 @@ from repro.endhost import (Aggregator, Collector, DeployedApplication,
 from repro.net.sim import Simulator
 from repro.net.topology import BuiltTopology, Network
 from repro.obs import get_telemetry
+from repro.obs.flightrec import JourneyQueries
 from repro.stats import TimeSeries
 
 from .registry import TOPOLOGIES, WORKLOADS
@@ -41,6 +42,7 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.obs import Telemetry
 
     from .scenario import Scenario, TppSpec
+    from .spec import ScenarioSpec
 
 
 class _TemplateAdapter:
@@ -106,31 +108,32 @@ class Experiment:
                  telemetry: Optional["Telemetry"] = None) -> None:
         self.scenario = scenario
         self.duration_s = duration_s
-        self.seed = scenario.seed
+        spec = scenario.spec
+        self.seed = spec.seed
         # Observability (repro.obs): explicit instance, else the ambient one
         # (disabled unless installed via obs.use()).  Spans and metrics read
         # wall-clock and existing counters only — never simulation state —
         # so telemetry on/off/exporting is byte-identical (tests/test_obs.py).
         self.telemetry = telemetry if telemetry is not None else get_telemetry()
         with self.telemetry.span("experiment.build",
-                                 scenario=scenario.name or scenario.topology_name,
-                                 seed=scenario.seed):
-            self._build(scenario)
+                                 scenario=spec.name or spec.topology,
+                                 seed=spec.seed):
+            self._build(spec)
         if self.telemetry.enabled:
             self._register_metrics()
 
-    def _build(self, scenario: "Scenario") -> None:
+    def _build(self, spec: "ScenarioSpec") -> None:
         span = self.telemetry.span
-        self.rng = random.Random(scenario.seed)
+        self.rng = random.Random(spec.seed)
         self.sim = Simulator()
-        with span("build.topology", topology=scenario.topology_name):
-            builder = TOPOLOGIES.get(scenario.topology_name)
+        with span("build.topology", topology=spec.topology):
+            builder = TOPOLOGIES.get(spec.topology)
             self.topology: BuiltTopology = builder(self.sim,
-                                                   **scenario.topology_kwargs)
+                                                   **spec.topology_kwargs)
             self.network: Network = self.topology.network
-        if scenario.seed_ecmp:
+        if spec.seed_ecmp:
             self._salt_ecmp_groups()
-        if scenario.compile_traces:
+        if spec.compile_traces:
             # Flip every switch's TCPU onto the compiled-trace engine before
             # any packet moves; byte-identical results, faster hot path.
             for switch in self.network.switches.values():
@@ -138,9 +141,8 @@ class Experiment:
 
         self.stacks: dict[str, "EndHostStack"] = {}
         with span("build.stacks"):
-            if scenario.install_stacks:
-                self.stacks = install_stacks(self.network,
-                                             hosts=scenario.host_subset)
+            if spec.stacks:
+                self.stacks = install_stacks(self.network, hosts=spec.hosts)
                 self.control_plane = next(iter(self.stacks.values())).control_plane \
                     if self.stacks else TPPControlPlane()
             else:
@@ -156,7 +158,7 @@ class Experiment:
         # so every TPP deployment below gets a virtual-IP front door.
         self.collect_plane: Optional[CollectPlane] = None
         self._plane_push_rounds = 0
-        cspec = scenario.collector_spec
+        cspec = spec.collector
         if cspec is not None:
             with span("build.collect_plane", shards=cspec.shards):
                 self.collect_plane = CollectPlane(
@@ -170,13 +172,13 @@ class Experiment:
 
         self.apps: dict[str, DeployedApplication] = {}
         self.collectors: dict[str, Collector] = {}
-        with span("build.tpps", apps=len(scenario.tpp_specs)):
-            for spec in scenario.tpp_specs:
-                self._deploy_tpp(spec)
+        with span("build.tpps", apps=len(spec.tpps)):
+            for tspec in spec.tpps:
+                self._deploy_tpp(tspec)
 
         self.workloads: dict[str, Any] = {}
-        with span("build.workloads", workloads=len(scenario.workload_specs)):
-            for wspec in scenario.workload_specs:
+        with span("build.workloads", workloads=len(spec.workloads)):
+            for wspec in spec.workloads:
                 factory = WORKLOADS.get(wspec.workload) \
                     if isinstance(wspec.workload, str) else wspec.workload
                 self.workloads[wspec.name] = factory(self, **wspec.kwargs)
@@ -186,15 +188,15 @@ class Experiment:
         # empty plan must leave the event sequence byte-identical.
         self.fault_injector = None
         self.remediation = None
-        if scenario.fault_spec is not None:
+        if spec.faults is not None:
             from repro.faults import FaultInjector
             with span("build.faults"):
-                plan = scenario.fault_spec.resolve(self.network)
+                plan = spec.faults.resolve(self.network)
                 self.fault_injector = FaultInjector(self.network, plan)
                 self.fault_injector.schedule(self.sim)
-        if scenario.remediation_spec is not None:
+        if spec.remediation is not None:
             from repro.faults import RemediationController
-            rspec = scenario.remediation_spec
+            rspec = spec.remediation
             if rspec.app not in self.apps:
                 raise ValueError(
                     f"remediation watches app {rspec.app!r}, which is not "
@@ -213,9 +215,9 @@ class Experiment:
         # event, and before setup hooks so hook-driven traffic is visible.
         # Recording is pure observation — the run stays byte-identical.
         self.flight_recorder = None
-        if scenario.recorder_spec is not None:
+        if spec.recorder is not None:
             from repro.obs import FlightRecorder
-            rspec = scenario.recorder_spec
+            rspec = spec.recorder
             with span("build.flightrec", capacity=rspec.capacity,
                       sample_every=rspec.sample_every):
                 app_ids = None
@@ -231,8 +233,8 @@ class Experiment:
                 self.flight_recorder = FlightRecorder(rspec).attach(
                     self.network, app_ids=app_ids)
 
-        with span("build.hooks", hooks=len(scenario.setup_hooks)):
-            for hook in scenario.setup_hooks:
+        with span("build.hooks", hooks=len(spec.setup_hooks)):
+            for hook in spec.setup_hooks:
                 hook(self)
 
     # ------------------------------------------------------------------ build
@@ -443,7 +445,7 @@ class Experiment:
             self.remediation.stop()
         for callback in reversed(self._stop_callbacks):
             callback()
-        for hook in self.scenario.finalize_hooks:
+        for hook in self.scenario.spec.finalize_hooks:
             hook(self)
         if self.remediation is not None and self.collect_plane is None:
             # Mirror the aggregator contract: one final snapshot at finish.
@@ -513,8 +515,8 @@ class Experiment:
         actions = len(self.remediation.actions) \
             if self.remediation is not None else 0
         return ExperimentResult(
-            scenario=self.scenario.name,
-            topology=self.scenario.topology_name,
+            scenario=self.scenario.spec.name,
+            topology=self.scenario.spec.topology,
             seed=self.seed,
             duration_s=self.duration_s,
             end_time_s=self.sim.now,
@@ -554,7 +556,7 @@ class Experiment:
 
 
 @dataclass
-class ExperimentResult:
+class ExperimentResult(JourneyQueries):
     """Everything a finished experiment measured, plus live-object handles.
 
     The scalar fields are the cross-cutting accounting every scenario gets
@@ -638,26 +640,6 @@ class ExperimentResult:
     @property
     def sim(self) -> Simulator:
         return self.experiment.sim
-
-    # --------------------------------------------------------- flight recorder
-    def _journeys(self):
-        if self.journeys is None:
-            raise TypeError(
-                "no flight-recorder data on this result; build the scenario "
-                "with .flight_recorder(...)")
-        return self.journeys
-
-    def journey(self, packet_id: int):
-        """One recorded packet's ordered hop records (or None)."""
-        return self._journeys().journey(packet_id)
-
-    def trace_flow(self, flow_id: int) -> list:
-        """Every recorded packet journey of one flow."""
-        return self._journeys().trace_flow(flow_id)
-
-    def explain_drop(self, packet_id: Optional[int] = None, **filters):
-        """Drop forensics (see :meth:`repro.obs.JourneyLog.explain_drop`)."""
-        return self._journeys().explain_drop(packet_id, **filters)
 
     # ------------------------------------------------------------ per-app data
     def _app(self, app: Optional[str]) -> DeployedApplication:

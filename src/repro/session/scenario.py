@@ -79,7 +79,7 @@ from repro.endhost import Aggregator, Collector, PacketFilter
 
 from .experiment import Experiment, ExperimentResult
 from .registry import TOPOLOGIES, WORKLOADS
-from .spec import ScenarioSpec
+from .spec import CollectorSpec, ScenarioSpec
 
 #: Signature of hooks: they receive the live Experiment.
 Hook = Callable[[Experiment], None]
@@ -112,34 +112,12 @@ class WorkloadSpec:
     kwargs: dict[str, Any] = field(default_factory=dict)
 
 
-@dataclass
-class CollectorSpec:
-    """The sharded collection plane a scenario opts into (§4.5).
-
-    Materialised at build time as a :class:`repro.collect.CollectPlane`;
-    every declared TPP application's collector becomes a
-    :class:`~repro.collect.virtual.VirtualCollector` front door onto the
-    shared shard tier (user-supplied collector objects become the front
-    door's downstream sink, so their behaviour is preserved exactly).
-    """
-
-    shards: int = 1
-    epoch_s: Optional[float] = None
-    transport: str = "inline"
-    batch: Optional[int] = 64
-    capacity: int = 4096
-    hosts: Optional[list[str]] = None
-    retain: bool = True
-    # Streaming-collection knobs (normalised specs, so sweeps can override
-    # nested fields with dataclasses.replace — see repro.sweep.plan).
-    tree: Optional["TreeSpec"] = None        # repro.collect.TreeSpec
-    shed: Optional["ShedSpec"] = None        # repro.collect.ShedSpec
-    delta: bool = False
-    delta_resync_every: int = 0
-
-
 class Scenario:
     """Fluent builder for a complete, seeded experiment session.
+
+    A facade over one :class:`~repro.session.spec.ScenarioSpec`: every
+    declaration the fluent methods make lands in :attr:`spec`, which is
+    also what :meth:`build` hands to the :class:`Experiment`.
 
     Args:
         topology: a registered topology name (see ``Scenario.topologies()``).
@@ -165,23 +143,12 @@ class Scenario:
                  **topology_kwargs) -> None:
         if topology not in TOPOLOGIES:
             TOPOLOGIES.get(topology)         # raises with the registered menu
-        self.topology_name = topology
-        self.topology_kwargs = dict(topology_kwargs)
-        self.seed = seed
-        self.name = name if name is not None else topology
-        self.install_stacks = stacks
-        self.host_subset = list(hosts) if hosts is not None else None
-        self.seed_ecmp = seed_ecmp
-        self.compile_traces = compile_traces
-        self.collector_spec: Optional[CollectorSpec] = None
-        self.fault_spec = None                   # Optional[FaultSpec]
-        self.remediation_spec = None             # Optional[RemediationSpec]
-        self.recorder_spec = None                # Optional[obs.RecorderSpec]
-        self.tpp_specs: list[TppSpec] = []
-        self.workload_specs: list[WorkloadSpec] = []
-        self.setup_hooks: list[Hook] = []
-        self.finalize_hooks: list[Hook] = []
-        self._result_mapper: Optional[Callable[[ExperimentResult], Any]] = None
+        self.spec = ScenarioSpec(
+            topology=topology, seed=seed,
+            name=name if name is not None else topology,
+            topology_kwargs=dict(topology_kwargs), stacks=stacks,
+            hosts=list(hosts) if hosts is not None else None,
+            seed_ecmp=seed_ecmp, compile_traces=compile_traces)
 
     # ------------------------------------------------------------- registries
     @staticmethod
@@ -197,7 +164,7 @@ class Scenario:
     # ---------------------------------------------------------------- fluency
     def configure(self, **topology_kwargs) -> "Scenario":
         """Merge extra keyword arguments into the topology builder call."""
-        self.topology_kwargs.update(topology_kwargs)
+        self.spec.topology_kwargs.update(topology_kwargs)
         return self
 
     def tpp(self, name: str, program, *, filter: Optional[PacketFilter] = None,
@@ -215,9 +182,9 @@ class Scenario:
         per-host factory ``(host_name, collector) -> Aggregator``; omit it
         and attach plain callbacks with :meth:`collect` instead.
         """
-        if any(spec.name == name for spec in self.tpp_specs):
+        if any(spec.name == name for spec in self.spec.tpps):
             raise ValueError(f"a TPP application named {name!r} is already declared")
-        self.tpp_specs.append(TppSpec(
+        self.spec.tpps.append(TppSpec(
             name=name, program=program,
             packet_filter=filter if filter is not None else PacketFilter(),
             sample_frequency=sample_frequency, num_hops=num_hops,
@@ -241,13 +208,14 @@ class Scenario:
                 WORKLOADS.get(workload)      # raises with the registered menu
             label = name or workload
         elif callable(workload):
-            label = name or getattr(workload, "__name__", f"workload{len(self.workload_specs)}")
+            label = name or getattr(workload, "__name__",
+                                    f"workload{len(self.spec.workloads)}")
         else:
             raise TypeError("workload must be a registered name or a callable factory")
-        if any(spec.name == label for spec in self.workload_specs):
+        if any(spec.name == label for spec in self.spec.workloads):
             raise ValueError(f"a workload named {label!r} is already declared; "
                              f"pass name= to disambiguate")
-        self.workload_specs.append(WorkloadSpec(name=label, workload=workload,
+        self.spec.workloads.append(WorkloadSpec(name=label, workload=workload,
                                                 kwargs=dict(kwargs)))
         return self
 
@@ -315,29 +283,10 @@ class Scenario:
         """
         # Validation is eager (like topology/workload names) so mistakes
         # surface at declaration, not deep inside the build.
-        from repro.collect import TRANSPORTS
-        from repro.collect.shard import as_shed_spec
-        from repro.collect.virtual import as_tree_spec
-        if shards < 1:
-            raise ValueError("the collector tier needs at least one shard")
-        if transport not in TRANSPORTS:
-            raise ValueError(f"unknown transport {transport!r}; "
-                             f"choose from {TRANSPORTS}")
-        if epoch_s is not None and epoch_s <= 0:
-            raise ValueError("epoch_s must be positive")
-        if (batch is not None and batch < 1) or capacity < 1:
-            raise ValueError("batch (when set) and capacity must be >= 1")
-        if delta_resync_every < 0:
-            raise ValueError("delta_resync_every must be >= 0")
-        self.collector_spec = CollectorSpec(shards=shards, epoch_s=epoch_s,
-                                            transport=transport, batch=batch,
-                                            capacity=capacity,
-                                            hosts=list(hosts) if hosts else None,
-                                            retain=retain,
-                                            tree=as_tree_spec(tree),
-                                            shed=as_shed_spec(shed) if shed is not None else None,
-                                            delta=bool(delta),
-                                            delta_resync_every=delta_resync_every)
+        self.spec.collector = CollectorSpec(
+            shards=shards, epoch_s=epoch_s, transport=transport, batch=batch,
+            capacity=capacity, hosts=hosts, retain=retain, tree=tree,
+            shed=shed, delta=delta, delta_resync_every=delta_resync_every)
         return self
 
     def faults(self, plan=None, **generator_kwargs) -> "Scenario":
@@ -356,14 +305,14 @@ class Scenario:
             if generator_kwargs:
                 raise ValueError("pass either a FaultSpec or generator "
                                  "kwargs, not both")
-            self.fault_spec = plan
+            self.spec.faults = plan
         elif isinstance(plan, FaultPlan):
             if generator_kwargs:
                 raise ValueError("pass either a FaultPlan or generator "
                                  "kwargs, not both")
-            self.fault_spec = FaultSpec(plan=plan)
+            self.spec.faults = FaultSpec(plan=plan)
         elif plan is None:
-            self.fault_spec = FaultSpec(**generator_kwargs)
+            self.spec.faults = FaultSpec(**generator_kwargs)
         else:
             raise TypeError(f"faults() takes a FaultSpec, a FaultPlan, or "
                             f"generator kwargs; got {type(plan).__name__}")
@@ -391,7 +340,7 @@ class Scenario:
                             f"RemediationSpec; got {type(policy).__name__}")
         if spec.policy not in POLICIES:
             POLICIES.get(spec.policy)        # raises with the registered menu
-        self.remediation_spec = spec
+        self.spec.remediation = spec
         return self
 
     def flight_recorder(self, spec=None, *, capacity: int = 4096,
@@ -419,9 +368,9 @@ class Scenario:
                     or sample_every != 1:
                 raise ValueError("pass either a RecorderSpec or policy "
                                  "kwargs, not both")
-            self.recorder_spec = spec
+            self.spec.recorder = spec
         elif spec is None:
-            self.recorder_spec = RecorderSpec(
+            self.spec.recorder = RecorderSpec(
                 capacity=capacity, sample_every=sample_every,
                 apps=tuple(apps) if apps is not None else None,
                 links=tuple(links) if links is not None else None)
@@ -448,7 +397,7 @@ class Scenario:
         per-flow controllers, scheduled link failures, custom meters.  Hooks
         run in declaration order.
         """
-        self.setup_hooks.append(hook)
+        self.spec.setup_hooks.append(hook)
         return self
 
     def finalize(self, hook: Hook) -> "Scenario":
@@ -456,7 +405,7 @@ class Scenario:
 
         Use it to compute derived results into ``experiment.extras``.
         """
-        self.finalize_hooks.append(hook)
+        self.spec.finalize_hooks.append(hook)
         return self
 
     def map_result(self, mapper: Callable[[ExperimentResult], Any]) -> "Scenario":
@@ -466,19 +415,20 @@ class Scenario:
         (``MicroburstResult``, ``RcpExperimentResult``, ...) while the whole
         run goes through the session layer.
         """
-        self._result_mapper = mapper
+        self.spec.result_mapper = mapper
         return self
 
     def _find_tpp(self, app: Optional[str]) -> TppSpec:
-        if not self.tpp_specs:
+        tpps = self.spec.tpps
+        if not tpps:
             raise ValueError("declare a .tpp(...) application before .collect(...)")
         if app is None:
-            return self.tpp_specs[-1]
-        for spec in self.tpp_specs:
+            return tpps[-1]
+        for spec in tpps:
             if spec.name == app:
                 return spec
         raise KeyError(f"no declared TPP application {app!r}; "
-                       f"have {[spec.name for spec in self.tpp_specs]}")
+                       f"have {[spec.name for spec in tpps]}")
 
     # ---------------------------------------------------------------- running
     def build(self, duration_s: Optional[float] = None,
@@ -500,8 +450,8 @@ class Scenario:
         """
         result = self.build(duration_s, telemetry=telemetry) \
             .run(duration_s, run_until_idle=run_until_idle)
-        if self._result_mapper is not None:
-            return self._result_mapper(result)
+        if self.spec.result_mapper is not None:
+            return self.spec.result_mapper(result)
         return result
 
     def copy(self) -> "Scenario":
@@ -510,7 +460,7 @@ class Scenario:
 
     # ----------------------------------------------------------- serialization
     def to_spec(self) -> "ScenarioSpec":
-        """Extract a picklable :class:`~repro.session.spec.ScenarioSpec`.
+        """A validated, independent copy of :attr:`spec`.
 
         The spec crosses process boundaries (the sweep layer fans specs
         across a pool) and rebuilds a byte-identical scenario via
@@ -521,14 +471,17 @@ class Scenario:
         :class:`~repro.session.spec.SpecError` here, eagerly, with the
         offending piece named.
         """
-        return ScenarioSpec.from_scenario(self)
+        return self.spec.copy().validate()
 
     @classmethod
     def from_spec(cls, spec: "ScenarioSpec") -> "Scenario":
-        """Rebuild a scenario from a spec (``spec.to_scenario()`` mirror)."""
-        return spec.to_scenario()
+        """A scenario facade over an independent copy of ``spec``."""
+        scenario = cls.__new__(cls)
+        scenario.spec = spec.copy()
+        return scenario
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (f"<Scenario {self.name!r} topology={self.topology_name!r} "
-                f"seed={self.seed} tpps={[s.name for s in self.tpp_specs]} "
-                f"workloads={[s.name for s in self.workload_specs]}>")
+        spec = self.spec
+        return (f"<Scenario {spec.name!r} topology={spec.topology!r} "
+                f"seed={spec.seed} tpps={[s.name for s in spec.tpps]} "
+                f"workloads={[s.name for s in spec.workloads]}>")

@@ -1,17 +1,18 @@
 """Serializable scenario specs and result summaries — the process-boundary
 faces of the session layer.
 
-The fluent :class:`~repro.session.Scenario` builder is a *live* object: it
-may hold hook callables, aggregator factories, and collector objects.  To
-fan experiments across a process pool (:mod:`repro.sweep`), a scenario must
-cross a pickle boundary and rebuild **byte-identically** on the other side.
-This module provides that contract:
+The fluent :class:`~repro.session.Scenario` builder is a facade over one
+:class:`ScenarioSpec`, which may hold hook callables, aggregator factories,
+and collector objects.  To fan experiments across a process pool
+(:mod:`repro.sweep`), a scenario must cross a pickle boundary and rebuild
+**byte-identically** on the other side.  This module provides that contract:
 
-* :class:`ScenarioSpec` — a picklable, declarative snapshot of a scenario
-  (topology name + kwargs, engine toggles, collector knobs, TPP and
-  workload descriptors, hooks, seed).  :meth:`Scenario.to_spec` extracts
-  one, validating every piece; :meth:`ScenarioSpec.to_scenario` rebuilds a
-  scenario that produces the identical event sequence.
+* :class:`ScenarioSpec` — the one place a scenario's declarations live
+  (topology name + kwargs, engine toggles, sub-specs such as
+  :class:`CollectorSpec`, TPP and workload descriptors, hooks, seed).
+  :meth:`Scenario.to_spec` hands out a validated copy;
+  :meth:`ScenarioSpec.to_scenario` wraps a copy in a scenario that
+  produces the identical event sequence.
 * :class:`ResultSummary` — a slim, picklable view of an
   :class:`~repro.session.ExperimentResult`: the scalar accounting plus each
   app's *mergeable* summary, so worker processes ship monoid elements home
@@ -48,7 +49,12 @@ import pickle
 from dataclasses import dataclass, field, fields, is_dataclass
 from typing import Any, Optional, TYPE_CHECKING
 
-from repro.collect import summary_copy, summary_jsonable
+from repro.collect import (ShedSpec, TRANSPORTS, TreeSpec, summary_copy,
+                           summary_jsonable)
+from repro.collect.shard import as_shed_spec
+from repro.collect.virtual import as_tree_spec
+from repro.faults.plan import FaultSpec, RemediationSpec
+from repro.obs.flightrec import JourneyQueries, RecorderSpec
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.collect import SummaryBundle
@@ -56,7 +62,7 @@ if TYPE_CHECKING:  # pragma: no cover
     from .scenario import Scenario
 
 __all__ = [
-    "ResultSummary", "ScenarioSpec", "SpecError", "callable_ref",
+    "CollectorSpec", "ResultSummary", "ScenarioSpec", "SpecError", "callable_ref",
     "ensure_picklable", "spec_fingerprint", "spec_jsonable",
 ]
 
@@ -170,12 +176,65 @@ def spec_fingerprint(spec: "ScenarioSpec") -> str:
 # The spec itself
 # --------------------------------------------------------------------------
 @dataclass
-class ScenarioSpec:
-    """A picklable snapshot of everything a :class:`Scenario` declares.
+class CollectorSpec:
+    """The sharded collection plane a scenario opts into (§4.5).
 
-    Construct via :meth:`Scenario.to_spec` (which validates) rather than by
-    hand; rebuild with :meth:`to_scenario`.  Equal specs with equal seeds
-    rebuild scenarios that produce byte-identical runs — the determinism
+    Materialised at build time as a :class:`repro.collect.CollectPlane`;
+    every declared TPP application's collector becomes a
+    :class:`~repro.collect.virtual.VirtualCollector` front door onto the
+    shared shard tier (user-supplied collector objects become the front
+    door's downstream sink, so their behaviour is preserved exactly).
+
+    Validation and normalisation run in ``__post_init__``, so a knob is
+    checked the same way whether it comes from ``Scenario.collector(...)``
+    or from a sweep axis (``dataclasses.replace`` re-runs it): ``tree``
+    takes a fan-in or a :class:`~repro.collect.TreeSpec`, ``shed`` a policy
+    name or a :class:`~repro.collect.ShedSpec`.
+    """
+
+    shards: int = 1
+    epoch_s: Optional[float] = None
+    transport: str = "inline"
+    batch: Optional[int] = 64
+    capacity: int = 4096
+    hosts: Optional[list[str]] = None
+    retain: bool = True
+    tree: Optional[TreeSpec] = None
+    shed: Optional[ShedSpec] = None
+    delta: bool = False
+    delta_resync_every: int = 0
+
+    def __post_init__(self) -> None:
+        if self.shards < 1:
+            raise ValueError("the collector tier needs at least one shard")
+        if self.transport not in TRANSPORTS:
+            raise ValueError(f"unknown transport {self.transport!r}; "
+                             f"choose from {TRANSPORTS}")
+        if self.epoch_s is not None and self.epoch_s <= 0:
+            raise ValueError("epoch_s must be positive")
+        if (self.batch is not None and self.batch < 1) or self.capacity < 1:
+            raise ValueError("batch (when set) and capacity must be >= 1")
+        if self.delta_resync_every < 0:
+            raise ValueError("delta_resync_every must be >= 0")
+        self.hosts = list(self.hosts) if self.hosts else None
+        self.tree = as_tree_spec(self.tree)
+        self.shed = as_shed_spec(self.shed) if self.shed is not None else None
+        self.delta = bool(self.delta)
+
+
+#: Marks the fields a spec copy carries by reference: hooks and the result
+#: mapper are code, not state.  Every other field is deep-copied.
+_BY_REFERENCE = {"by_reference": True}
+
+
+@dataclass
+class ScenarioSpec:
+    """Everything a :class:`Scenario` declares, in one picklable record.
+
+    A :class:`~repro.session.Scenario` is a fluent facade over one of these
+    (``scenario.spec``); :meth:`Scenario.to_spec` hands out a validated
+    copy and :meth:`to_scenario` wraps a copy in a fresh facade.  Equal
+    specs with equal seeds build byte-identical runs — the determinism
     contract the sweep layer's differential tests pin down.
     """
 
@@ -187,56 +246,38 @@ class ScenarioSpec:
     hosts: Optional[list[str]] = None
     seed_ecmp: bool = False
     compile_traces: bool = False
-    collector: Optional[Any] = None               # CollectorSpec
-    faults: Optional[Any] = None                  # FaultSpec
-    remediation: Optional[Any] = None             # RemediationSpec
-    recorder: Optional[Any] = None                # obs.RecorderSpec
+    collector: Optional[CollectorSpec] = None
+    faults: Optional[FaultSpec] = None
+    remediation: Optional[RemediationSpec] = None
+    recorder: Optional[RecorderSpec] = None
     tpps: list[Any] = field(default_factory=list)         # TppSpec
     workloads: list[Any] = field(default_factory=list)    # WorkloadSpec
-    setup_hooks: list[Any] = field(default_factory=list)
-    finalize_hooks: list[Any] = field(default_factory=list)
-    result_mapper: Optional[Any] = None
+    setup_hooks: list[Any] = field(default_factory=list, metadata=_BY_REFERENCE)
+    finalize_hooks: list[Any] = field(default_factory=list,
+                                      metadata=_BY_REFERENCE)
+    result_mapper: Optional[Any] = field(default=None, metadata=_BY_REFERENCE)
 
-    @classmethod
-    def from_scenario(cls, scenario: "Scenario") -> "ScenarioSpec":
-        """Extract and validate a spec (see :meth:`Scenario.to_spec`)."""
-        spec = cls(
-            topology=scenario.topology_name,
-            seed=scenario.seed,
-            name=scenario.name,
-            topology_kwargs=copy.deepcopy(scenario.topology_kwargs),
-            stacks=scenario.install_stacks,
-            hosts=list(scenario.host_subset)
-            if scenario.host_subset is not None else None,
-            seed_ecmp=scenario.seed_ecmp,
-            compile_traces=scenario.compile_traces,
-            collector=copy.deepcopy(scenario.collector_spec),
-            faults=copy.deepcopy(scenario.fault_spec),
-            remediation=copy.deepcopy(scenario.remediation_spec),
-            recorder=copy.deepcopy(scenario.recorder_spec),
-            tpps=copy.deepcopy(scenario.tpp_specs),
-            workloads=copy.deepcopy(scenario.workload_specs),
-            setup_hooks=list(scenario.setup_hooks),
-            finalize_hooks=list(scenario.finalize_hooks),
-            result_mapper=scenario._result_mapper,
-        )
-        spec.validate()
-        # Sanity: the rendering the fingerprint hashes must serialise.
-        json.dumps(spec_jsonable(spec), sort_keys=True)
-        return spec
+    def copy(self) -> "ScenarioSpec":
+        """An independent copy: by-reference fields (hooks, the result
+        mapper) are shared, every other field is deep-copied."""
+        clone = copy.copy(self)
+        for spec_field in fields(self):
+            value = getattr(self, spec_field.name)
+            if not spec_field.metadata.get("by_reference"):
+                value = copy.deepcopy(value)
+            elif isinstance(value, list):
+                value = list(value)
+            setattr(clone, spec_field.name, value)
+        return clone
 
     # ------------------------------------------------------------- validation
     def validate(self) -> "ScenarioSpec":
         """Check every piece crosses a process boundary; raise SpecError."""
         ensure_picklable(self.topology_kwargs, f"topology {self.topology!r} kwargs")
-        if self.collector is not None:
-            ensure_picklable(self.collector, "collector spec")
-        if self.faults is not None:
-            ensure_picklable(self.faults, "fault spec")
-        if self.remediation is not None:
-            ensure_picklable(self.remediation, "remediation spec")
-        if self.recorder is not None:
-            ensure_picklable(self.recorder, "recorder spec")
+        for spec_field in fields(self):
+            value = getattr(self, spec_field.name)
+            if is_dataclass(value):
+                ensure_picklable(value, f"{spec_field.name} spec")
         for tpp in self.tpps:
             where = f"tpp {tpp.name!r}"
             ensure_picklable(tpp.program, f"{where} program")
@@ -256,28 +297,16 @@ class ScenarioSpec:
             ensure_picklable(hook, f"finalize hook #{index}")
         if self.result_mapper is not None:
             ensure_picklable(self.result_mapper, "result mapper")
+        # Sanity: the rendering the fingerprint hashes must serialise.
+        json.dumps(spec_jsonable(self), sort_keys=True)
         return self
 
     # ------------------------------------------------------------------ build
     def to_scenario(self) -> "Scenario":
-        """Rebuild the fluent scenario this spec was extracted from."""
+        """A fluent scenario facade over an independent copy of this spec."""
         from .scenario import Scenario
 
-        scenario = Scenario(self.topology, seed=self.seed, name=self.name,
-                            stacks=self.stacks, hosts=self.hosts,
-                            seed_ecmp=self.seed_ecmp,
-                            compile_traces=self.compile_traces,
-                            **copy.deepcopy(self.topology_kwargs))
-        scenario.collector_spec = copy.deepcopy(self.collector)
-        scenario.fault_spec = copy.deepcopy(self.faults)
-        scenario.remediation_spec = copy.deepcopy(self.remediation)
-        scenario.recorder_spec = copy.deepcopy(self.recorder)
-        scenario.tpp_specs = copy.deepcopy(self.tpps)
-        scenario.workload_specs = copy.deepcopy(self.workloads)
-        scenario.setup_hooks = list(self.setup_hooks)
-        scenario.finalize_hooks = list(self.finalize_hooks)
-        scenario._result_mapper = self.result_mapper
-        return scenario
+        return Scenario.from_spec(self)
 
     def run(self, duration_s: Optional[float] = 1.0, *,
             run_until_idle: bool = False):
@@ -322,7 +351,7 @@ RESULT_COUNTER_FIELDS = (
 
 
 @dataclass
-class ResultSummary:
+class ResultSummary(JourneyQueries):
     """The picklable slice of an :class:`ExperimentResult`.
 
     Carries the scalar accounting plus each app's *mergeable* summary (the
@@ -383,26 +412,6 @@ class ResultSummary:
                    telemetry=result.telemetry,
                    flightrec=result.flightrec,
                    journeys=result.journeys)
-
-    # --------------------------------------------------------- flight recorder
-    def _journeys(self):
-        if self.journeys is None:
-            raise TypeError(
-                "no flight-recorder data on this summary; build the scenario "
-                "with .flight_recorder(...)")
-        return self.journeys
-
-    def journey(self, packet_id: int):
-        """One recorded packet's ordered hop records (or None)."""
-        return self._journeys().journey(packet_id)
-
-    def trace_flow(self, flow_id: int) -> list:
-        """Every recorded packet journey of one flow."""
-        return self._journeys().trace_flow(flow_id)
-
-    def explain_drop(self, packet_id: Optional[int] = None, **filters):
-        """Drop forensics (see :meth:`repro.obs.JourneyLog.explain_drop`)."""
-        return self._journeys().explain_drop(packet_id, **filters)
 
     # ------------------------------------------------------------ monoid face
     def bundle(self) -> "SummaryBundle":

@@ -11,27 +11,27 @@ expansion modes cover the paper-reproduction workloads:
 * seed replication — :meth:`SweepSpec.replicate` adds a ``seed`` axis, the
   common "same experiment, N seeds" pattern.
 
-Axis paths address the spec declaratively::
+Axis paths address the spec declaratively.  Apart from three named roots,
+a path is a chain of dataclass field names starting at
+:class:`~repro.session.ScenarioSpec`::
 
-    seed                      the master seed
-    name                      the scenario label
-    compile_traces            engine toggle (likewise seed_ecmp / stacks)
+    seed                      a plain ScenarioSpec field (likewise name,
+                              stacks, seed_ecmp, compile_traces, hosts, ...)
+    collector.<field>         a field of a sub-spec: CollectorSpec (shards,
+                              epoch_s, ...), FaultSpec (faults.loss_rate),
+                              RemediationSpec (remediation.policy) or
+                              RecorderSpec (recorder.capacity)
+    collector.tree.<field>    a field of a nested sub-spec (TreeSpec,
+                              likewise collector.shed.<field> for ShedSpec)
     topology.<kwarg>          a topology-builder keyword
-    collector.<field>         a .collector(...) knob (shards, epoch_s, ...)
-    collector.tree.<field>    an aggregation-tree knob (fanin); materialises
-                              a default TreeSpec when the base has none
-    collector.shed.<field>    a load-shedding knob (policy, sample_stride,
-                              priority); likewise materialises a ShedSpec
-    faults.<field>            a .faults(...) knob (loss_rate, corrupt_links,
-                              onset_s, seed, ...)
-    remediation.<field>       a .remediation(...) knob (policy, period_s,
-                              threshold, min_path_diversity, ...)
-    recorder.<field>          a .flight_recorder(...) knob (capacity,
-                              sample_every, apps, links); materialises a
-                              default RecorderSpec when the base has none
     workload.<name>.<kwarg>   a keyword of the named workload declaration
     tpp.<name>.<field>        a field of the named TPP declaration
                               (sample_frequency, num_hops, priority, ...)
+
+A sub-spec the base does not declare is built from its defaults.  Every
+level is rewritten with :func:`dataclasses.replace`, so a sub-spec's own
+``__post_init__`` validates (and normalises) the value: a bad axis value
+fails at :meth:`SweepSpec.axis`, not inside a worker.
 
 Expansion is pure and deterministic: the same plan always yields the same
 tasks in the same order with the same labels and fingerprints, which is
@@ -41,21 +41,23 @@ what lets the runner's manifest recognise completed work across runs.
 from __future__ import annotations
 
 import copy
+import functools
 import itertools
-from dataclasses import dataclass, fields, replace
+import typing
+from dataclasses import dataclass, fields, is_dataclass, replace
 from typing import Any, Iterable, Optional, Sequence, Union
 
-from repro.collect import ShedSpec, TreeSpec
-from repro.faults import FaultSpec, RemediationSpec
-from repro.obs import RecorderSpec
 from repro.session import Scenario, ScenarioSpec
-from repro.session.scenario import CollectorSpec
 from repro.session.spec import SpecError, ensure_picklable
 
 __all__ = ["Axis", "SweepSpec", "SweepTask"]
 
-#: Top-level spec fields an axis may address directly.
-_SCALAR_PATHS = ("seed", "name", "stacks", "seed_ecmp", "compile_traces")
+#: Roots that name one entry of a declared collection (or, for topology,
+#: one builder keyword) rather than a ScenarioSpec field.
+_NAMED_ROOTS = ("topology", "workload", "tpp")
+
+#: Every other root is a ScenarioSpec field.
+_FIELD_ROOTS = frozenset(spec_field.name for spec_field in fields(ScenarioSpec))
 
 
 @dataclass(frozen=True)
@@ -91,110 +93,92 @@ def _format_value(value: Any) -> str:
     return str(value)
 
 
+@functools.lru_cache(maxsize=None)
+def _subspec_class(owner: type, name: str) -> Optional[type]:
+    """The dataclass field ``owner.name`` declares (``Optional[X]`` -> X)."""
+    hint = typing.get_type_hints(owner)[name]
+    for candidate in (hint, *typing.get_args(hint)):
+        if isinstance(candidate, type) and is_dataclass(candidate):
+            return candidate
+    return None
+
+
+def _replaced(path: str, root: str, sub: Any, parts: list[str], value: Any) -> Any:
+    """A copy of the dataclass ``sub`` (addressed as ``root``) with the
+    field ``parts`` names set to ``value``.
+
+    Each level is rewritten with :func:`dataclasses.replace`, so every
+    sub-spec's ``__post_init__`` validation runs again and sibling tasks
+    sharing the base spec never alias state.  A ``None`` sub-spec on the
+    way down is built from its defaults.
+    """
+    name, rest = parts[0], parts[1:]
+    if name not in {spec_field.name for spec_field in fields(sub)}:
+        raise SpecError(f"axis path {path!r}: {type(sub).__name__} has no "
+                        f"field {name!r}")
+    if rest:
+        current = getattr(sub, name)
+        if current is None:
+            cls = _subspec_class(type(sub), name)
+            current = cls() if cls is not None else None
+        if not is_dataclass(current):
+            raise SpecError(f"axis path {path!r} must be {root}.<field> or "
+                            f"{root}.<sub-spec>.<field>; "
+                            f"{type(sub).__name__}.{name} is not a sub-spec")
+        value = _replaced(path, root, current, rest, value)
+    return replace(sub, **{name: value})
+
+
+def _index_of(entries: list, name: str, path: str, kind: str) -> int:
+    for index, entry in enumerate(entries):
+        if entry.name == name:
+            return index
+    raise SpecError(f"axis path {path!r}: no declared {kind} {name!r} "
+                    f"(have {[entry.name for entry in entries]})")
+
+
 def _apply_override(spec: ScenarioSpec, path: str, value: Any) -> None:
-    """Set one axis value on a (deep-copied) spec, validating the path."""
+    """Set one axis value on a (deep-copied) spec, validating the path.
+
+    A path names a ScenarioSpec field and, through sub-spec fields, a
+    field of a sub-spec (``collector.tree.fanin``).  Only the three named
+    roots below address something else.
+    """
     head, _, rest = path.partition(".")
-    if head in _SCALAR_PATHS:
-        if rest:
-            raise SpecError(f"axis path {path!r}: {head!r} takes no sub-path")
-        setattr(spec, head, value)
-        return
     if head == "topology":
         if not rest:
             raise SpecError(f"axis path {path!r} needs a topology kwarg name")
         spec.topology_kwargs[rest] = value
         return
-    if head == "collector":
-        if not rest:
-            raise SpecError(f"axis path {path!r} must be collector.<field>")
-        if spec.collector is None:
-            spec.collector = CollectorSpec()
-        if "." in rest:
-            # Nested streaming-collection knobs: collector.tree.<field> /
-            # collector.shed.<field>, rewriting the sub-spec immutably so
-            # sibling tasks sharing the base spec never alias state.
-            sub, _, leaf = rest.partition(".")
-            nested = {"tree": TreeSpec, "shed": ShedSpec}
-            if sub not in nested or not leaf or "." in leaf:
-                raise SpecError(f"axis path {path!r} must be "
-                                f"collector.<field>, collector.tree.<field>, "
-                                f"or collector.shed.<field>")
-            sub_cls = nested[sub]
-            if leaf not in {f.name for f in fields(sub_cls)}:
-                raise SpecError(f"axis path {path!r}: {sub_cls.__name__} has "
-                                f"no field {leaf!r}")
-            current = getattr(spec.collector, sub) or sub_cls()
-            spec.collector = replace(spec.collector,
-                                     **{sub: replace(current, **{leaf: value})})
-            return
-        if rest not in {f.name for f in fields(CollectorSpec)}:
-            raise SpecError(f"axis path {path!r}: CollectorSpec has no "
-                            f"field {rest!r}")
-        if rest == "tree" and isinstance(value, int) \
-                and not isinstance(value, bool):
-            value = TreeSpec(fanin=value)
-        elif rest == "shed" and isinstance(value, str):
-            value = ShedSpec(policy=value)
-        spec.collector = replace(spec.collector, **{rest: value})
-        return
-    if head == "faults":
-        if not rest or "." in rest:
-            raise SpecError(f"axis path {path!r} must be faults.<field>")
-        if spec.faults is None:
-            spec.faults = FaultSpec()
-        if rest not in {f.name for f in fields(FaultSpec)}:
-            raise SpecError(f"axis path {path!r}: FaultSpec has no "
-                            f"field {rest!r}")
-        spec.faults = replace(spec.faults, **{rest: value})
-        return
-    if head == "remediation":
-        if not rest or "." in rest:
-            raise SpecError(f"axis path {path!r} must be remediation.<field>")
-        if spec.remediation is None:
-            spec.remediation = RemediationSpec()
-        if rest not in {f.name for f in fields(RemediationSpec)}:
-            raise SpecError(f"axis path {path!r}: RemediationSpec has no "
-                            f"field {rest!r}")
-        spec.remediation = replace(spec.remediation, **{rest: value})
-        return
-    if head == "recorder":
-        if not rest or "." in rest:
-            raise SpecError(f"axis path {path!r} must be recorder.<field>")
-        if spec.recorder is None:
-            spec.recorder = RecorderSpec()
-        if rest not in {f.name for f in fields(RecorderSpec)}:
-            raise SpecError(f"axis path {path!r}: RecorderSpec has no "
-                            f"field {rest!r}")
-        # RecorderSpec is frozen; replace() re-runs its validation, so bad
-        # axis values (capacity=0, ...) fail at declaration time.
-        spec.recorder = replace(spec.recorder, **{rest: value})
-        return
     if head == "workload":
         wname, _, kwarg = rest.partition(".")
         if not wname or not kwarg:
             raise SpecError(f"axis path {path!r} must be workload.<name>.<kwarg>")
-        for wspec in spec.workloads:
-            if wspec.name == wname:
-                wspec.kwargs[kwarg] = value
-                return
-        raise SpecError(f"axis path {path!r}: no declared workload {wname!r} "
-                        f"(have {[w.name for w in spec.workloads]})")
+        index = _index_of(spec.workloads, wname, path, "workload")
+        spec.workloads[index].kwargs[kwarg] = value
+        return
     if head == "tpp":
         tname, _, attr = rest.partition(".")
         if not tname or not attr:
             raise SpecError(f"axis path {path!r} must be tpp.<name>.<field>")
-        for tspec in spec.tpps:
-            if tspec.name == tname:
-                if not hasattr(tspec, attr):
-                    raise SpecError(f"axis path {path!r}: TppSpec has no "
-                                    f"field {attr!r}")
-                setattr(tspec, attr, value)
-                return
-        raise SpecError(f"axis path {path!r}: no declared TPP {tname!r} "
-                        f"(have {[t.name for t in spec.tpps]})")
-    raise SpecError(
-        f"axis path {path!r}: unknown root {head!r}; expected one of "
-        f"{_SCALAR_PATHS + ('topology', 'collector', 'faults', 'remediation', 'recorder', 'workload', 'tpp')}")
+        index = _index_of(spec.tpps, tname, path, "TPP")
+        spec.tpps[index] = _replaced(path, f"tpp.{tname}", spec.tpps[index],
+                                     attr.split("."), value)
+        return
+    if head not in _FIELD_ROOTS:
+        raise SpecError(f"axis path {path!r}: unknown root {head!r}; expected "
+                        f"one of {sorted(_FIELD_ROOTS | set(_NAMED_ROOTS))}")
+    sub_cls = _subspec_class(ScenarioSpec, head)
+    if sub_cls is None:
+        if rest:
+            raise SpecError(f"axis path {path!r}: {head!r} takes no sub-path")
+        setattr(spec, head, value)
+        return
+    if not rest:
+        raise SpecError(f"axis path {path!r} must be {head}.<field>")
+    current = getattr(spec, head)
+    setattr(spec, head, _replaced(path, head, current if current is not None
+                                  else sub_cls(), rest.split("."), value))
 
 
 class SweepSpec:

@@ -361,7 +361,7 @@ class TestScenarioIntegration:
     def test_collector_spec_normalises_streaming_knobs(self):
         spec = (Scenario("dumbbell")
                 .collector(shards=4, tree=2, shed="drop-oldest", delta=True)
-                .collector_spec)
+                .spec.collector)
         assert spec.tree == TreeSpec(fanin=2)
         assert spec.shed == ShedSpec(policy="drop-oldest")
         assert spec.delta is True
@@ -849,7 +849,7 @@ class TestDeltaTreeDifferential:
     def _canonical_run(cls, build, duration, **collector_kwargs):
         scenario = build()
         scenario.collector(shards=4, epoch_s=0.05, **collector_kwargs)
-        scenario._result_mapper = None          # raw ExperimentResult
+        scenario.spec.result_mapper = None      # raw ExperimentResult
         result = scenario.run(duration_s=duration)
         plane = result.experiment.collect_plane
         view = json.dumps({f"{app}|{key}": summary_jsonable(s)

@@ -226,8 +226,8 @@ class TestSpecAndSweep:
                                    remediation="disable-and-repair")
         spec = scenario.to_spec()
         rebuilt = pickle.loads(pickle.dumps(spec)).to_scenario()
-        assert rebuilt.fault_spec.plan == one_link_plan()
-        assert rebuilt.remediation_spec.policy == "disable-and-repair"
+        assert rebuilt.spec.faults.plan == one_link_plan()
+        assert rebuilt.spec.remediation.policy == "disable-and-repair"
         assert rebuilt.to_spec().fingerprint() == spec.fingerprint()
 
     def test_fault_axes_expand(self):

@@ -26,7 +26,7 @@ import pytest
 
 from repro.net import mbps
 from repro.net.link import Link
-from repro.net.node import Host
+from repro.net.node import DROP_TX_HOOK, Host
 from repro.net.packet import udp_packet
 from repro.net.port import (DROP_CORRUPTED, DROP_LINK_DOWN, DROP_PEER_DOWN,
                             DROP_QUEUE_OVERFLOW)
@@ -307,6 +307,20 @@ class TestDropForensics:
             assert explanation.site == "a.p0"
             assert explanation.category == DROP_PEER_DOWN
 
+    def test_tx_hook_rejection_names_the_host(self):
+        sim, a, b, link, recorder = _pair()
+        a.add_tx_hook(lambda packet: packet.size < 500)
+        small, big = udp_packet("a", "b", 100), udp_packet("a", "b", 1000)
+        assert not a.send(big)
+        assert a.send_many([udp_packet("a", "b", 1000), small]) == 1
+        sim.run(until=1.0)
+        explanation = recorder.explain_drop(big.packet_id)
+        assert explanation.category == DROP_TX_HOOK
+        assert explanation.site == "a"
+        assert explanation.reason == big.drop_reason == "tx hook rejected at a"
+        assert len(recorder.explain_drop(category=DROP_TX_HOOK)) == 2
+        assert recorder.journey(small.packet_id).delivered
+
     def test_drops_bypass_flow_sampling(self):
         spec = RecorderSpec(sample_every=1_000_000)   # samples ~no flows
         sim, a, b, link, recorder = _pair(queue_packets=1, spec=spec)
@@ -339,6 +353,15 @@ class TestDropForensics:
 # ---------------------------------------------------------------------------
 # Session integration
 # ---------------------------------------------------------------------------
+def _reject_every_fifth(packet) -> bool:
+    return packet.packet_id % 5 != 0
+
+
+def _install_rejecting_hooks(experiment) -> None:
+    for host in experiment.network.hosts.values():
+        host.add_tx_hook(_reject_every_fifth)
+
+
 def _scenario():
     return (Scenario(topology="dumbbell", seed=1, hosts_per_side=2)
             .tpp("qmon",
@@ -359,6 +382,15 @@ class TestSessionIntegration:
         execs = [r for r in result.journeys.records if r[REC_KIND] == TPP_EXEC]
         assert all(r[REC_A] == "ok" and r[REC_B] == 2 for r in execs)
 
+    def test_tx_hook_drops_reach_explain_drop(self):
+        result = (_scenario().setup(_install_rejecting_hooks)
+                  .flight_recorder().run(duration_s=0.05))
+        drops = result.explain_drop(category=DROP_TX_HOOK)
+        assert drops and all(d.packet_id % 5 == 0 for d in drops)
+        explanation = result.explain_drop(drops[0].packet_id)
+        assert explanation.category == DROP_TX_HOOK
+        assert explanation.reason.startswith("tx hook rejected at ")
+
     def test_no_recorder_means_no_side_channels(self):
         result = _scenario().run(duration_s=0.05)
         assert result.flightrec is None and result.journeys is None
@@ -376,9 +408,9 @@ class TestSessionIntegration:
     def test_spec_round_trip(self):
         scenario = _scenario().flight_recorder(capacity=256, sample_every=8)
         spec = scenario.to_spec()
-        assert spec.recorder == scenario.recorder_spec
+        assert spec.recorder == scenario.spec.recorder
         rebuilt = pickle.loads(pickle.dumps(spec)).to_scenario()
-        assert rebuilt.recorder_spec == scenario.recorder_spec
+        assert rebuilt.spec.recorder == scenario.spec.recorder
         # The recorder changes the spec's identity but not the run's bytes.
         assert spec.fingerprint() != _scenario().to_spec().fingerprint()
 

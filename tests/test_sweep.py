@@ -13,6 +13,7 @@ import json
 import os
 import pickle
 import time
+from dataclasses import fields
 
 import pytest
 
@@ -93,21 +94,34 @@ class TestScenarioSpec:
 
     @pytest.mark.parametrize("maker", [
         "microburst_scenario", "rcp_scenario", "conga_scenario",
-        "sketch_scenario", "netsight_scenario"])
+        "sketch_scenario", "netsight_scenario", "verification_scenario"])
     def test_app_scenarios_are_spec_serializable(self, maker):
         import repro.apps.conga
         import repro.apps.microburst
         import repro.apps.netsight
+        import repro.apps.netverify
         import repro.apps.rcp
         import repro.apps.sketches
         for module in (repro.apps.microburst, repro.apps.rcp, repro.apps.conga,
-                       repro.apps.sketches, repro.apps.netsight):
+                       repro.apps.sketches, repro.apps.netsight,
+                       repro.apps.netverify):
             if hasattr(module, maker):
                 spec = getattr(module, maker)().to_spec()
                 clone = pickle.loads(pickle.dumps(spec))
                 assert spec.fingerprint() == clone.fingerprint()
                 return
         pytest.fail(f"no app module defines {maker}")
+
+    def test_netverify_pickled_spec_runs_like_in_process(self):
+        from repro.apps.netverify import (RouteVerificationResult,
+                                          verification_scenario)
+        scenario = verification_scenario(failure_time=0.05)
+        direct = scenario.run(duration_s=0.1)
+        clone = pickle.loads(pickle.dumps(scenario.to_spec()))
+        shipped = clone.run(duration_s=0.1)
+        assert isinstance(shipped, RouteVerificationResult)
+        assert shipped == direct
+        assert direct.probes_sent > 0 and direct.observations
 
     def test_result_summary_is_picklable_and_mergeable(self):
         summary = ResultSummary.from_result(monitor_scenario().run(duration_s=DT))
@@ -207,6 +221,19 @@ class TestSweepSpec:
         with pytest.raises(SpecError, match="collector.<field>"):
             sweep.axis("collector.tree.fanin.extra", [1])
 
+    @pytest.mark.parametrize("path,value", [
+        ("collector.shards", 0), ("collector.transport", "bogus"),
+        ("collector.epoch_s", -1.0), ("collector.delta_resync_every", -3)])
+    def test_invalid_collector_axes_rejected_at_declaration(self, path, value):
+        from repro.apps.microburst import microburst_scenario
+        from repro.net import mbps
+        base = microburst_scenario(link_rate_bps=mbps(10),
+                                   offered_load=0.4).collector(shards=2)
+        sweep = SweepSpec(base)
+        with pytest.raises(ValueError):
+            sweep.axis(path, [value])
+        assert not sweep.axes
+
     def test_top_level_tree_and_shed_values_normalise(self):
         from repro.collect import ShedSpec, TreeSpec
         base = monitor_scenario()
@@ -218,6 +245,40 @@ class TestSweepSpec:
         assert specs[0].tree is None and specs[0].shed is None
         assert specs[-1].tree == TreeSpec(fanin=2)
         assert specs[-1].shed == ShedSpec(policy="drop-oldest")
+
+
+def _subspec_paths():
+    """(path, class) for every field of every sweepable sub-spec."""
+    from repro.collect import ShedSpec, TreeSpec
+    from repro.faults import FaultSpec, RemediationSpec
+    from repro.obs import RecorderSpec
+    from repro.session.scenario import CollectorSpec
+    roots = (("collector", CollectorSpec), ("collector.tree", TreeSpec),
+             ("collector.shed", ShedSpec), ("faults", FaultSpec),
+             ("remediation", RemediationSpec), ("recorder", RecorderSpec))
+    return [(f"{root}.{spec_field.name}", cls)
+            for root, cls in roots for spec_field in fields(cls)]
+
+
+class TestGenericAxisResolution:
+    @pytest.mark.parametrize("path,cls", _subspec_paths(),
+                             ids=[path for path, _ in _subspec_paths()])
+    def test_every_subspec_field_resolves_on_a_bare_base(self, path, cls):
+        base = monitor_scenario()
+        assert base.spec.collector is base.spec.faults is None
+        assert base.spec.remediation is base.spec.recorder is None
+        leaf = path.rpartition(".")[2]
+        value = getattr(cls(), leaf)
+        sweep = SweepSpec(base).axis(path, [value])
+        (task,) = sweep.expand()
+        target = task.spec
+        for name in path.split(".")[:-1]:
+            target = getattr(target, name)
+        assert isinstance(target, cls)
+        assert getattr(target, leaf) == value
+        root = path.rpartition(".")[0]
+        with pytest.raises(SpecError, match=f"{cls.__name__} has no field 'nope'"):
+            SweepSpec(base).axis(f"{root}.nope", [value])
 
 
 class TestSweepDifferential:
